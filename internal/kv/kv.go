@@ -74,6 +74,17 @@ const (
 )
 
 // Value is an object's value at one version.
+//
+// Sharing contract: a Value's bytes are shared, its Cells array is not.
+// Once a Value (or an Op carrying bytes) is handed to kv, its Data, its
+// fence keys and every cell's Key and Value bytes are never written in
+// place — by kv or by the caller — so values derived from it (Op.Apply,
+// the store's version chain, windowed read views) may alias them
+// freely. A Cells array belongs to exactly one Value: Op.Apply gives
+// every result a fresh array and never appends into its base's, which
+// may be a WindowCells view with spare capacity. Code that wants to
+// edit a value in place (the mutating ListAdd/ListDelRange, field
+// assignments) works on a private deep copy from Clone.
 type Value struct {
 	Kind Kind
 
@@ -93,9 +104,11 @@ func NewSuper() *Value { return &Value{Kind: KindSuper} }
 // NewPlain returns a plain value holding data (not copied).
 func NewPlain(data []byte) *Value { return &Value{Kind: KindPlain, Data: data} }
 
-// Clone returns a deep copy of v. The MVCC store clones the latest
-// version before applying delta operations so older versions stay
-// immutable.
+// Clone returns a deep copy of v: fresh bytes and a fresh cell array,
+// which the caller may then edit in place. Op.Apply and the store never
+// need one (see the sharing contract on Value); Clone is for callers
+// that want a private, mutable value, such as a DBT node-cache update
+// or the DBT's NoDelta ablation.
 func (v *Value) Clone() *Value {
 	if v == nil {
 		return nil
@@ -434,27 +447,46 @@ type Op struct {
 // Apply applies op to base and returns the resulting value. base may be
 // nil (object absent); delta ops on an absent object create an empty
 // supervalue first, so a blind ListAdd works without a prior read.
-// Apply never mutates base.
+//
+// Apply never mutates base. Under the sharing contract on Value the
+// result shares base's Data, fence keys and cell bytes (and op's own
+// bytes) and owns one new Cells array, so a one-cell delta costs one
+// copy of the cell headers and no per-cell allocation.
 func (op *Op) Apply(base *Value) (*Value, error) {
 	switch op.Kind {
 	case OpPut:
-		return op.Value.Clone(), nil
+		if op.Value == nil {
+			return nil, nil
+		}
+		return op.Value.derive(), nil
 	case OpDelete:
 		return nil, nil
 	}
 	// Delta operations need a supervalue to operate on.
-	var v *Value
 	switch {
 	case base == nil:
-		v = NewSuper()
+		base = NewSuper()
 	case base.Kind != KindSuper:
 		return nil, fmt.Errorf("%w: delta op on plain value", ErrBadRequest)
-	default:
-		v = base.Clone()
 	}
+	if op.Kind == OpListAdd {
+		// The hot path: build the new array around the inserted cell in
+		// one pass.
+		i, found := base.cellIndex(op.Cell.Key)
+		if found {
+			v := base.derive()
+			v.Cells[i].Value = op.Cell.Value
+			return v, nil
+		}
+		v := base.shallow()
+		v.Cells = make([]Cell, len(base.Cells)+1)
+		copy(v.Cells, base.Cells[:i])
+		v.Cells[i] = op.Cell
+		copy(v.Cells[i+1:], base.Cells[i:])
+		return v, nil
+	}
+	v := base.derive()
 	switch op.Kind {
-	case OpListAdd:
-		v.ListAdd(op.Cell.Key, op.Cell.Value)
 	case OpListDelRange:
 		v.ListDelRange(op.From, op.To)
 	case OpAttrSet:
@@ -463,12 +495,37 @@ func (op *Op) Apply(base *Value) (*Value, error) {
 		}
 		v.Attrs[op.Attr] = op.Num
 	case OpSetBounds:
-		v.LowKey = append([]byte(nil), op.Low...)
-		v.HighKey = append([]byte(nil), op.High...)
+		v.LowKey = fenceKey(op.Low)
+		v.HighKey = fenceKey(op.High)
 	default:
 		return nil, fmt.Errorf("%w: op kind %d", ErrBadRequest, op.Kind)
 	}
 	return v, nil
+}
+
+// shallow returns a copy of v, without cells, that shares v's bytes.
+func (v *Value) shallow() *Value {
+	return &Value{Kind: v.Kind, Data: v.Data, Attrs: v.Attrs, LowKey: fenceKey(v.LowKey), HighKey: fenceKey(v.HighKey)}
+}
+
+// derive returns a copy of v that shares v's bytes and owns a new Cells
+// array holding v's cells (nil stays nil).
+func (v *Value) derive() *Value {
+	out := v.shallow()
+	if v.Cells != nil {
+		out.Cells = make([]Cell, len(v.Cells))
+		copy(out.Cells, v.Cells)
+	}
+	return out
+}
+
+// fenceKey normalizes a fence key for storage: an empty key is nil
+// (unbounded), as Clone has always stored it.
+func fenceKey(k []byte) []byte {
+	if len(k) == 0 {
+		return nil
+	}
+	return k
 }
 
 // CommutativeTouch classifies op for conflict detection. Commutative

@@ -732,6 +732,13 @@ const (
 // epoch; the bound only guards against a pathological ping-pong.
 const maxEpochHops = 4
 
+// wrongEpochPause is the pause, times the hop count, before retrying
+// after a redirect that taught nothing new. The usual cause is a
+// primary that just installed an epoch with new members and has no
+// lease grant from them yet; the grant arrives one mirror round trip
+// later, so retrying at once would spend every hop inside that window.
+const wrongEpochPause = 2 * time.Millisecond
+
 // call issues method(enc(epoch)) against server slot's current
 // replica; enc re-encodes the request on every attempt so retries
 // always carry the freshest known group epoch. Transport failures
@@ -777,8 +784,9 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 				continue
 			}
 			// Nothing new learned (a backup bounced us, or a primary
-			// without a lease): try the next replica.
+			// without a lease): try the next replica, after a pause.
 			g.invalidate(conn)
+			time.Sleep(time.Duration(epochHops) * wrongEpochPause)
 			continue
 		}
 		if ctx.Err() != nil {

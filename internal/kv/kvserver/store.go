@@ -10,6 +10,20 @@
 // transaction could commit below the reader's snapshot (the Clock-SI
 // read rule), which lasts one commit round trip.
 //
+// # Copy-on-write versions
+//
+// Stored versions follow the sharing contract on kv.Value. A version
+// made by a delta op shares its Data, fence keys and every cell's Key
+// and Value bytes with the version before it and with the op that made
+// it; it owns only its Cells array. Neither the store nor anything that
+// receives a version from it (Read, ReadPart, snapshot and migration
+// captures) writes those bytes in place. A transaction's ops are
+// applied to an object once per replica: at prepare on the primary, and
+// when the stream stages the prepare or applies the commit on a backup.
+// The prepare keeps its result on the object's write lock and the
+// commit installs it; the newest version cannot change while the lock
+// is held.
+//
 // # Replication
 //
 // Fault tolerance lives in this layer, as the paper prescribes: the
@@ -586,7 +600,36 @@ type lockState struct {
 	txid     uint64
 	proposed clock.Timestamp
 	ops      []*kv.Op
-	done     chan struct{} // closed when the transaction resolves
+	// result is ops applied to the newest version as of staging, whose
+	// timestamp was baseTS (0 = none): the value the commit installs.
+	// The newest version cannot change while the lock is held, so each
+	// replica applies a transaction's ops to an object exactly once.
+	result *kv.Value
+	baseTS clock.Timestamp
+	done   chan struct{} // closed when the transaction resolves
+}
+
+// stageLocked applies ops to obj's newest version and returns the lock
+// that carries the result to the commit. err reports the first op that
+// failed; result then holds the ops before it. Caller holds the shard
+// mutex.
+func stageLocked(obj *object, txid uint64, proposed clock.Timestamp, ops []*kv.Op) (*lockState, error) {
+	base, baseTS, _ := visibleVersion(obj, clock.Max)
+	result, err := applyOps(base, ops)
+	return &lockState{txid: txid, proposed: proposed, ops: ops, result: result, baseTS: baseTS, done: make(chan struct{})}, err
+}
+
+// applyOps applies one object's ops in order. On an error it returns
+// the value before the failing op along with the error.
+func applyOps(val *kv.Value, ops []*kv.Op) (*kv.Value, error) {
+	for _, op := range ops {
+		next, err := op.Apply(val)
+		if err != nil {
+			return val, err
+		}
+		val = next
+	}
+	return val, nil
 }
 
 type object struct {
@@ -1561,7 +1604,10 @@ func (s *Store) shardFor(oid kv.OID) *shard {
 }
 
 // Read returns the newest version of oid visible at snap. The returned
-// value must not be mutated by the caller (versions are immutable).
+// value is the stored version itself and must not be mutated by the
+// caller: versions are immutable, and under the sharing contract on
+// kv.Value their bytes are shared with neighbouring versions. Callers
+// that want to edit one work on a Clone.
 func (s *Store) Read(oid kv.OID, snap clock.Timestamp) (*kv.Value, clock.Timestamp, error) {
 	s.stats.Reads.Add(1)
 	// Advance the local clock past the snapshot before touching the
@@ -1733,25 +1779,16 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 			sh.mu.Unlock()
 			return fail(err)
 		}
-		// Dry-run the ops so commit cannot fail later: the base cannot
-		// change while we hold the lock.
-		base, _, _ := visibleVersion(obj, clock.Max)
-		ok := true
-		var applyErr error
-		for _, op := range byOID[oid] {
-			base, applyErr = op.Apply(base)
-			if applyErr != nil {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		// Apply the ops now, so commit cannot fail later and installs
+		// this result: the base cannot change while we hold the lock.
+		// proposed stays 0 (sentinel) until every lock is held; readers
+		// that hit the lock in this window wait conservatively.
+		lock, applyErr := stageLocked(obj, txid, 0, byOID[oid])
+		if applyErr != nil {
 			sh.mu.Unlock()
 			return fail(fmt.Errorf("%w: %v", kv.ErrBadRequest, applyErr))
 		}
-		// proposed stays 0 (sentinel) until every lock is held; readers
-		// that hit the lock in this window wait conservatively.
-		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{})}
+		obj.lock = lock
 		sh.mu.Unlock()
 		locked = append(locked, oid)
 	}
@@ -2089,8 +2126,8 @@ func (s *Store) commitDetached(txid uint64, commitTS clock.Timestamp) (applied b
 	return true, nil
 }
 
-// applyStaged turns a prepared transaction's staged ops into visible
-// versions at commitTS and releases its locks.
+// applyStaged installs a prepared transaction's staged results as
+// visible versions at commitTS and releases its locks.
 func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp) {
 	for _, oid := range oids {
 		sh := s.shardFor(oid)
@@ -2100,16 +2137,11 @@ func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp
 			sh.mu.Unlock()
 			continue // defensive; cannot happen with a correct client
 		}
-		base, _, _ := visibleVersion(obj, clock.Max)
-		val := base
-		for _, op := range obj.lock.ops {
-			next, err := op.Apply(val)
-			if err != nil {
-				// Validated at prepare; unreachable unless the client
-				// mutated ops concurrently. Keep prior value.
-				break
-			}
-			val = next
+		val := obj.lock.result
+		if base, ts, _ := visibleVersion(obj, clock.Max); ts != obj.lock.baseTS {
+			// Defensive; unreachable while the lock excludes other
+			// writers. Re-apply onto the actual newest version.
+			val, _ = applyOps(base, obj.lock.ops)
 		}
 		structural, touched := classifyOps(obj.lock.ops)
 		obj.versions = append(obj.versions, version{ts: commitTS, val: val, structural: structural, touched: touched})
@@ -2330,7 +2362,11 @@ func (s *Store) trimLocked(obj *object) {
 		if f := obj.versions[cut-1].ts; f > obj.gcFloor {
 			obj.gcFloor = f
 		}
-		obj.versions = append([]version(nil), obj.versions[cut:]...)
+		// Compact in place: the next append reuses the freed capacity.
+		// Clearing the vacated tail lets the trimmed values be collected.
+		n := copy(obj.versions, obj.versions[cut:])
+		clear(obj.versions[n:])
+		obj.versions = obj.versions[:n]
 	}
 }
 

@@ -808,14 +808,7 @@ func (s *Store) applyCommittedOpsLocked(commitTS clock.Timestamp, ops []*kv.Op) 
 			sh.objs[oid] = obj
 		}
 		base, _, _ := visibleVersion(obj, clock.Max)
-		val := base
-		for _, op := range byOID[oid] {
-			next, err := op.Apply(val)
-			if err != nil {
-				break // a bad record op; keep what we have
-			}
-			val = next
-		}
+		val, _ := applyOps(base, byOID[oid]) // a bad record op keeps what came before it
 		structural, touched := classifyOps(byOID[oid])
 		obj.versions = append(obj.versions, version{ts: commitTS, val: val, structural: structural, touched: touched})
 		s.trimLocked(obj)
@@ -856,7 +849,9 @@ func (s *Store) stageReplicatedPrepare(rec kv.ReplRecord, viaStream bool) error 
 			s.txMu.Unlock()
 			return fmt.Errorf("%w: replicated prepare for tx %d found %v locked by tx %d: re-form the pair", kv.ErrDiverged, rec.TxID, oid, holder)
 		}
-		obj.lock = &lockState{txid: rec.TxID, proposed: rec.TS, ops: byOID[oid], done: make(chan struct{})}
+		// The primary validated the ops; a failing op keeps the value
+		// before it, exactly as a RecCommit's apply would.
+		obj.lock, _ = stageLocked(obj, rec.TxID, rec.TS, byOID[oid])
 		sh.mu.Unlock()
 	}
 	return nil

@@ -7,8 +7,9 @@ import (
 
 // Supervalue cell-list manipulation. Cells are kept sorted by Key under
 // bytes.Compare with unique keys; these methods maintain that
-// invariant. They mutate the receiver, so the MVCC store applies them
-// only to a fresh Clone of the latest version.
+// invariant. They mutate the receiver in place, so they are only for
+// private values (NewSuper, Clone); Op.Apply builds copy-on-write
+// results instead (see the sharing contract on Value).
 
 // cellIndex returns the position of key in the cell list and whether an
 // exact match exists. Without a match, the position is the insertion

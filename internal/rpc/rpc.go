@@ -95,17 +95,20 @@ const (
 	statusErr = 1
 )
 
-func encodeRequest(id uint64, method string, body []byte) []byte {
-	b := wire.NewBuffer(16 + len(method) + len(body))
+// encodeRequest returns a whole request frame, length prefix included,
+// encoded into the one buffer that is then written with one Write.
+func encodeRequest(id uint64, method string, body []byte) ([]byte, error) {
+	b := wire.NewFrameBuffer(16 + len(method) + len(body))
 	b.PutByte(kindRequest)
 	b.PutUvarint(id)
 	b.PutString(method)
 	b.PutBytes(body)
-	return b.Bytes()
+	return b.Frame()
 }
 
-func encodeResponse(id uint64, body []byte, appErr error, code uint64) []byte {
-	b := wire.NewBuffer(16 + len(body))
+// encodeResponse returns a whole response frame, like encodeRequest.
+func encodeResponse(id uint64, body []byte, appErr error, code uint64) ([]byte, error) {
+	b := wire.NewFrameBuffer(16 + len(body))
 	b.PutByte(kindResponse)
 	b.PutUvarint(id)
 	if appErr != nil {
@@ -118,7 +121,7 @@ func encodeResponse(id uint64, body []byte, appErr error, code uint64) []byte {
 		b.PutByte(statusOK)
 		b.PutBytes(body)
 	}
-	return b.Bytes()
+	return b.Frame()
 }
 
 // Server serves RPC requests on a listener. Methods are registered
@@ -266,8 +269,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		h, ok := s.handlers[method]
 		if !ok {
 			unknownErr := fmt.Errorf("%w: %s", ErrUnknownMethod, method)
+			// Best effort, as for any reply: a frame too large to encode
+			// is nil and writes nothing, and a failed write ends the
+			// connection's next read.
+			frame, _ := encodeResponse(id, nil, unknownErr, s.errCode(unknownErr))
 			writeMu.Lock()
-			wire.WriteFrame(conn, encodeResponse(id, nil, unknownErr, s.errCode(unknownErr)))
+			conn.Write(frame)
 			writeMu.Unlock()
 			continue
 		}
@@ -277,9 +284,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		go func(id uint64, body []byte) {
 			defer handlerWG.Done()
 			resp, appErr := h(s.baseCtx, body)
-			writeMu.Lock()
-			err := wire.WriteFrame(conn, encodeResponse(id, resp, appErr, s.errCode(appErr)))
-			writeMu.Unlock()
+			frame, err := encodeResponse(id, resp, appErr, s.errCode(appErr))
+			if err == nil {
+				writeMu.Lock()
+				_, err = conn.Write(frame)
+				writeMu.Unlock()
+			}
 			if err != nil {
 				conn.Close()
 			}
@@ -403,7 +413,9 @@ func (c *Client) readLoop() {
 			}
 			res.err = &AppError{Msg: msg, Code: code}
 		} else {
-			body, err := r.BytesCopy()
+			// The frame was allocated for this response alone, so the
+			// body may alias it.
+			body, err := r.Bytes()
 			if err != nil {
 				c.fail(fmt.Errorf("%w: bad frame", ErrClosed))
 				return
@@ -443,11 +455,12 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	if err := c.send(encodeRequest(id, method, req)); err != nil {
+	if err := c.send(id, method, req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		// A write error means the frame did not go out whole; the server
+		// An oversize request fails before any byte is written; a write
+		// error means the frame did not go out whole, and the server
 		// drops torn frames without executing them.
 		return nil, fmt.Errorf("%w: %w", ErrNotSent, err)
 	}
@@ -463,8 +476,13 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 	}
 }
 
-func (c *Client) send(frame []byte) error {
+func (c *Client) send(id uint64, method string, req []byte) error {
+	frame, err := encodeRequest(id, method, req)
+	if err != nil {
+		return err
+	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return wire.WriteFrame(c.conn, frame)
+	_, err = c.conn.Write(frame)
+	return err
 }

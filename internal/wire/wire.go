@@ -27,16 +27,20 @@ var (
 	ErrShortBuffer   = errors.New("wire: short buffer")
 )
 
+// frameHeaderSize is the size of a frame's big-endian length prefix.
+const frameHeaderSize = 4
+
 // WriteFrame writes one length-prefixed frame to w. It performs a single
 // Write call so that concurrent writers serialized by a mutex cannot
-// interleave partial frames.
+// interleave partial frames. It copies payload behind the prefix;
+// encoders on a hot path build the frame in place with NewFrameBuffer.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
+	buf := make([]byte, frameHeaderSize+len(payload))
+	binary.BigEndian.PutUint32(buf[:frameHeaderSize], uint32(len(payload)))
+	copy(buf[frameHeaderSize:], payload)
 	_, err := w.Write(buf)
 	return err
 }
@@ -67,6 +71,26 @@ type Buffer struct {
 // NewBuffer returns a Buffer with the given initial capacity.
 func NewBuffer(capacity int) *Buffer {
 	return &Buffer{b: make([]byte, 0, capacity)}
+}
+
+// NewFrameBuffer returns a Buffer that reserves a frame's length prefix
+// ahead of the payload encoded into it (capacity sizes the payload).
+// Frame then finishes the frame in place.
+func NewFrameBuffer(capacity int) *Buffer {
+	return &Buffer{b: make([]byte, frameHeaderSize, frameHeaderSize+capacity)}
+}
+
+// Frame fills in the length prefix of a Buffer made by NewFrameBuffer
+// and returns the whole frame: byte for byte what WriteFrame writes for
+// the payload, ready for one Write with no second copy. A payload over
+// MaxFrameSize fails with ErrFrameTooLarge.
+func (b *Buffer) Frame() ([]byte, error) {
+	n := len(b.b) - frameHeaderSize
+	if n > MaxFrameSize {
+		return nil, ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(b.b[:frameHeaderSize], uint32(n))
+	return b.b, nil
 }
 
 // Bytes returns the encoded contents. The slice aliases the Buffer's

@@ -44,6 +44,26 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 }
 
+func TestFrameBufferMatchesWriteFrame(t *testing.T) {
+	for _, p := range [][]byte{nil, []byte("hello"), bytes.Repeat([]byte{0xcd}, 300)} {
+		var want bytes.Buffer
+		if err := WriteFrame(&want, p); err != nil {
+			t.Fatal(err)
+		}
+		b := NewFrameBuffer(len(p))
+		b.b = append(b.b, p...)
+		got, err := b.Frame()
+		if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("Frame(%d bytes) = %x, %v; want %x", len(p), got, err, want.Bytes())
+		}
+	}
+	b := NewFrameBuffer(0)
+	b.b = append(b.b, make([]byte, MaxFrameSize+1)...)
+	if _, err := b.Frame(); err != ErrFrameTooLarge {
+		t.Fatalf("Frame oversize: got %v, want ErrFrameTooLarge", err)
+	}
+}
+
 func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, []byte("payload")); err != nil {
