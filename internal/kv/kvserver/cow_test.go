@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -152,6 +153,13 @@ func TestHotObjectKeepsNewestMaxVersions(t *testing.T) {
 			got, vts, err := s.Read(oid, rts)
 			if err != nil || vts != rts || !got.Equal(want[rts]) {
 				t.Fatalf("after %d writes: read at %v = %+v @%v, %v; want %+v", i+1, rts, got, vts, err, want[rts])
+			}
+		}
+		// A snapshot whose version was trimmed must not read the
+		// object as absent: the reader is told to retry.
+		for _, rts := range tss[:max(0, len(tss)-maxVersions)] {
+			if got, _, err := s.Read(oid, rts); !errors.Is(err, kv.ErrConflict) {
+				t.Fatalf("after %d writes: read at trimmed snapshot %v = %+v, %v; want ErrConflict", i+1, rts, got, err)
 			}
 		}
 	}

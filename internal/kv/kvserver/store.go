@@ -1607,7 +1607,8 @@ func (s *Store) shardFor(oid kv.OID) *shard {
 // value is the stored version itself and must not be mutated by the
 // caller: versions are immutable, and under the sharing contract on
 // kv.Value their bytes are shared with neighbouring versions. Callers
-// that want to edit one work on a Clone.
+// that want to edit one work on a Clone. A snapshot whose version was
+// garbage-collected gets kv.ErrConflict, never a false kv.ErrNotFound.
 func (s *Store) Read(oid kv.OID, snap clock.Timestamp) (*kv.Value, clock.Timestamp, error) {
 	s.stats.Reads.Add(1)
 	// Advance the local clock past the snapshot before touching the
@@ -1662,7 +1663,15 @@ func (s *Store) Read(oid kv.OID, snap clock.Timestamp) (*kv.Value, clock.Timesta
 			}
 		}
 		v, ts, ok := visibleVersion(obj, snap)
+		trimmed := !ok && obj.gcFloor > 0
 		sh.mu.Unlock()
+		if trimmed {
+			// The version this snapshot needs was garbage-collected
+			// (conservatively: the object may not have existed yet).
+			// "Absent" could be a wrong answer; make the reader retry
+			// at a fresh snapshot, as conflictLocked makes a writer.
+			return nil, 0, fmt.Errorf("%w: snapshot predates GC horizon", kv.ErrConflict)
+		}
 		if !ok || v == nil {
 			return nil, 0, kv.ErrNotFound
 		}
