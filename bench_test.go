@@ -1,5 +1,5 @@
-// Package yesquel_test wires the paper-reproduction experiments E1–E8
-// (internal/bench, DESIGN.md experiment index) into `go test -bench`.
+// Package yesquel_test wires the experiments E1–E9 (internal/bench's
+// All) into `go test -bench`.
 // Each benchmark runs the corresponding experiment once per b.N with
 // scaled-down parameters and reports ops/sec for its headline metric;
 // the full parameter sweeps with paper-style tables come from
@@ -570,18 +570,21 @@ func scanBenchPair(tb testing.TB, e1 bool, d time.Duration) (syncRes, raRes scan
 // writers, plain and with a per-commit-durable WAL (-log-sync
 // equivalent); reported metrics are ops/sec, achieved mirror batch
 // depth, and fsyncs per commit (group commit drives the latter below
-// 1 under load).
+// 1 under load). The rf=1 rows measure the commit path with no
+// replication: a plain in-memory store, and one with a write-ahead
+// log appended but not fsynced (an fsync per batch would dominate the
+// figure and hide the commit path itself).
 func BenchmarkReplicationConcurrent(b *testing.B) {
-	run := func(b *testing.B, writers, rf int, logSync bool) {
+	run := func(b *testing.B, writers, rf int, wal, logSync bool) {
 		// One fixed-duration workload per iteration; each iteration
 		// gets a FRESH log directory — sharing one would make later
 		// iterations replay (and inherit) earlier iterations' WALs,
 		// counting replay time as write-path throughput.
 		for i := 0; i < b.N; i++ {
 			scfg := kvserver.Config{}
-			if logSync {
+			if wal {
 				scfg.LogPath = b.TempDir()
-				scfg.LogSync = true
+				scfg.LogSync = logSync
 			}
 			start := time.Now()
 			ops, st := replWorkload(b, writers, rf, scfg, 500*time.Millisecond)
@@ -595,12 +598,18 @@ func BenchmarkReplicationConcurrent(b *testing.B) {
 			}
 		}
 	}
+	for _, w := range []int{1, 8} {
+		b.Run(fmt.Sprintf("rf=1/writers=%d", w), func(b *testing.B) { run(b, w, 1, false, false) })
+	}
+	for _, w := range []int{1, 8} {
+		b.Run(fmt.Sprintf("rf=1/wal/writers=%d", w), func(b *testing.B) { run(b, w, 1, true, false) })
+	}
 	for _, rf := range []int{2, 3} {
 		for _, w := range []int{1, 8} {
-			b.Run(fmt.Sprintf("rf=%d/writers=%d", rf, w), func(b *testing.B) { run(b, w, rf, false) })
+			b.Run(fmt.Sprintf("rf=%d/writers=%d", rf, w), func(b *testing.B) { run(b, w, rf, false, false) })
 		}
 		for _, w := range []int{1, 8} {
-			b.Run(fmt.Sprintf("rf=%d/logsync/writers=%d", rf, w), func(b *testing.B) { run(b, w, rf, true) })
+			b.Run(fmt.Sprintf("rf=%d/logsync/writers=%d", rf, w), func(b *testing.B) { run(b, w, rf, true, true) })
 		}
 	}
 	// Read-mostly (YCSB-B, 95/5) at rf=3: primary-only vs
@@ -930,7 +939,7 @@ func BenchmarkResync(b *testing.B) {
 			}
 			go backup.Serve()
 			backup.Store().StartResync()
-			watermark, err := primary.AttachBackup(backup.Addr())
+			watermark, err := primary.AttachBackupMember(backup.Addr())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -941,7 +950,7 @@ func BenchmarkResync(b *testing.B) {
 			if got := backup.Store().StateDigest(); got != want {
 				b.Fatalf("resynced digest %x != primary %x", got, want)
 			}
-			primary.SetMirror("")
+			primary.DetachAllBackups()
 			backup.Close()
 			b.StartTimer()
 		}

@@ -1,5 +1,5 @@
-// ybench regenerates the paper's evaluation tables and figures (E1–E8
-// in DESIGN.md) against in-process clusters.
+// ybench regenerates the paper's evaluation tables and figures (the
+// experiments of internal/bench) against in-process clusters.
 //
 //	ybench -exp all
 //	ybench -exp e2 -servers 1,2,4 -duration 3s

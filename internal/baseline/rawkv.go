@@ -1,6 +1,5 @@
 // Package baseline provides the two comparators of the paper's
-// evaluation, rebuilt on our own substrate (see DESIGN.md,
-// substitutions 2 and 3):
+// evaluation, rebuilt on our own substrate (internal/bench runs them):
 //
 //   - RawKV: a "NOSQL client" — direct key-value access with no SQL, no
 //     tree, and no cross-key transactions, standing in for Redis in the

@@ -1,5 +1,6 @@
-// Package bench implements the paper-reproduction experiments E1–E8
-// (see DESIGN.md's experiment index). Each experiment builds its own
+// Package bench implements the experiments E1–E9 (All is the index):
+// E1–E8 reproduce the paper's evaluation, E9 measures the replicated
+// write path. Each experiment builds its own
 // in-process cluster, drives a workload, and returns rows shaped like
 // the corresponding table or figure in the paper's evaluation. The
 // ybench command prints them; bench_test.go wires them into go test

@@ -3,7 +3,7 @@
 // rf members (a primary plus rf-1 synchronously mirrored backups),
 // listening on loopback TCP ports. Tests, examples, and benchmarks use
 // it to stand up the system the way the paper's testbed stood up N
-// storage machines (see DESIGN.md, substitution 1).
+// storage machines.
 package cluster
 
 import (
@@ -511,6 +511,7 @@ func (cl *Cluster) Stats() kvserver.StatsSnapshot {
 		out.OrphanAborts += st.OrphanAborts
 		out.Conflicts += st.Conflicts
 		out.GCVersions += st.GCVersions
+		out.ReadsBelowGCHorizon += st.ReadsBelowGCHorizon
 		out.EpochBumps += st.EpochBumps
 		out.WrongEpochRejects += st.WrongEpochRejects
 		out.WrongSlotRejects += st.WrongSlotRejects

@@ -6,7 +6,7 @@
 // DBT uses transactions to atomically move data across DBT nodes".
 //
 // Performance mechanisms, each individually switchable for the ablation
-// experiment (E5 in DESIGN.md):
+// experiment (E5 in internal/bench):
 //
 //   - Client-side caching of inner nodes. Descents consult the cache
 //     without any server communication; only the leaf is read

@@ -120,15 +120,9 @@ type replicaGroup struct {
 	// patience wait. Snapshotting at what a backup has actually
 	// reported keeps steady-state follower reads wait-free; it is just
 	// as monotone-safe, being the same quorum-durable bound one hop
-	// later.
+	// later. While follower reads are on, the heartbeat also refreshes
+	// it from the pinned backup's ping ack (see pingFollower).
 	readFrontier uint64
-
-	// noBatch remembers that a replica of this group rejected
-	// MethodReadBatch as unknown (the peer predates the method), so
-	// later batches skip straight to the per-object fallback instead of
-	// paying a doomed round trip each time. Reset when the membership
-	// changes: a new configuration may be all upgraded servers.
-	noBatch atomic.Bool
 }
 
 // readSeed staggers which backup each successive client pins its
@@ -305,7 +299,6 @@ func (g *replicaGroup) noteEpoch(epoch uint64, members []string) bool {
 		delete(g.readConns, a)
 	}
 	g.readCur = int(readSeed.Add(1))
-	g.noBatch.Store(false)
 	return true
 }
 
@@ -467,12 +460,44 @@ func (c *Client) StartHeartbeat(interval time.Duration) {
 					defer wg.Done()
 					ctx, cancel := context.WithTimeout(context.Background(), heartbeatTimeout)
 					c.Ping(ctx, s) // best-effort: a dead slot stays dead until it answers
+					if c.followerReads.Load() {
+						c.pingFollower(ctx, s)
+					}
 					cancel()
 				}(s)
 			}
 			wg.Wait()
 		}
 	}()
+}
+
+// pingFollower pings server slot's pinned backup and files the
+// durability frontier its ack carries as the group's backup-reported
+// bound. Follower reads refresh that bound only on the groups they
+// touch, and BeginFollower snapshots at the minimum across groups: a
+// group no transaction reads would otherwise hold every follower
+// snapshot at the bound it had before a write phase, with no time
+// limit. Best-effort, like the heartbeat's primary ping.
+func (c *Client) pingFollower(ctx context.Context, server int) {
+	g := c.group(server)
+	conn, addr, ok := g.followerConn()
+	if !ok {
+		return
+	}
+	resp, err := conn.Call(ctx, kv.MethodPing, nil)
+	if err != nil {
+		var app *rpc.AppError
+		if !errors.As(err, &app) && ctx.Err() == nil {
+			g.invalidateFollower(addr, conn)
+		}
+		return
+	}
+	ack, err := kv.DecodeAck(resp)
+	if err != nil {
+		return
+	}
+	c.hlc.Observe(ack.Clock)
+	g.noteReadFrontier(ack.Frontier)
 }
 
 // StopHeartbeat stops the background membership heartbeat.
@@ -994,58 +1019,25 @@ func (c *Client) readPartAt(ctx context.Context, oid kv.OID, snap clock.Timestam
 // readBatchAt serves items — all living on server slot server — at
 // snap with one MethodReadBatch RPC, routed like any other snapshot
 // read (follower pinning, primary fallback, frontier bookkeeping).
-// Against a peer that predates the method it downgrades to per-object
-// reads, remembering the downgrade on the group so later batches skip
-// the doomed attempt. Results are positional; absent objects come back
-// Found=false (Version is zero on the fallback path).
+// Results are positional; absent objects come back Found=false.
 func (c *Client) readBatchAt(ctx context.Context, server int, snap clock.Timestamp, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
-	g := c.group(server)
-	if !g.noBatch.Load() {
-		durable := c.durableReads.Load()
-		respB, viaFollower, err := c.readCall(ctx, server, snap, kv.MethodReadBatch, func(epoch uint64) []byte {
-			return (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Durable: durable, Items: items}).Encode()
-		})
-		switch {
-		case err == nil:
-			resp, err := kv.DecodeReadBatchResp(respB)
-			if err != nil {
-				return nil, err
-			}
-			if len(resp.Results) != len(items) {
-				return nil, fmt.Errorf("kvclient: read batch answered %d of %d items", len(resp.Results), len(items))
-			}
-			c.hlc.Observe(resp.Clock)
-			c.noteReadResp(server, resp.Frontier, viaFollower)
-			return resp.Results, nil
-		case isUnknownMethod(err):
-			g.noBatch.Store(true)
-		default:
-			return nil, translateRPCErr(err)
-		}
+	durable := c.durableReads.Load()
+	respB, viaFollower, err := c.readCall(ctx, server, snap, kv.MethodReadBatch, func(epoch uint64) []byte {
+		return (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Durable: durable, Items: items}).Encode()
+	})
+	if err != nil {
+		return nil, translateRPCErr(err)
 	}
-	results := make([]kv.ReadBatchResult, len(items))
-	for i := range items {
-		item := &items[i]
-		var (
-			val   *kv.Value
-			total int
-			err   error
-		)
-		if item.Part {
-			val, total, err = c.readPartAt(ctx, item.OID, snap, item.From, item.To, item.Max)
-		} else {
-			val, err = c.readAt(ctx, item.OID, snap)
-		}
-		switch {
-		case err == nil:
-			results[i] = kv.ReadBatchResult{Found: true, Value: val, Total: uint32(total)}
-		case errors.Is(err, kv.ErrNotFound):
-			// Found=false result: one absent object must not fail the batch.
-		default:
-			return nil, err
-		}
+	resp, err := kv.DecodeReadBatchResp(respB)
+	if err != nil {
+		return nil, err
 	}
-	return results, nil
+	if len(resp.Results) != len(items) {
+		return nil, fmt.Errorf("kvclient: read batch answered %d of %d items", len(resp.Results), len(items))
+	}
+	c.hlc.Observe(resp.Clock)
+	c.noteReadResp(server, resp.Frontier, viaFollower)
+	return resp.Results, nil
 }
 
 // readBatchSlots partitions items by owning group, sends each group's
@@ -1119,13 +1111,6 @@ func (c *Client) readBatchSlotsOnce(ctx context.Context, snap clock.Timestamp, i
 	return results, 0, nil
 }
 
-// isUnknownMethod reports that the server answered "no such RPC
-// method" — the signal that a peer predates a newer method and the
-// caller should fall back to older ones.
-func isUnknownMethod(err error) bool {
-	return rpc.AppErrIs(err, kv.CodeUnknownMethod, rpc.ErrUnknownMethod)
-}
-
 // ReadView is a concurrency-safe, read-only view of the store at a
 // fixed snapshot timestamp. Unlike a Tx it stages no writes and
 // overlays nothing, so it may be shared across goroutines; the dbt
@@ -1178,38 +1163,35 @@ func (v *ReadView) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]k
 // translateRPCErr maps application errors from the server back to the
 // package's sentinel errors so callers can match with errors.Is. The
 // match is by wire code (rpc.AppError.Code, assigned by the server's
-// error coder); rpc.AppErrIs falls back to text matching only for a
-// response from a server predating codes.
+// error coder).
 func translateRPCErr(err error) error {
 	var app *rpc.AppError
-	if errors.As(err, &app) {
-		switch {
-		case rpc.AppErrIs(err, kv.CodeUncertain, kv.ErrUncertain):
-			// A commit that failed its replication/durability wait: the
-			// record is in the primary's local stream but the backup's
-			// acknowledgment never came, so whether it survives a
-			// failover is unknown — the same contract as a lost ack.
-			// Matched FIRST: the message embeds the underlying batch
-			// error, which may itself name wrong-epoch/conflict/bad-
-			// request — sentinels whose contracts promise the operation
-			// was NOT executed, the opposite of what happened here.
-			// (Coded responses already resolve this precedence on the
-			// server; the legacy text fallback still relies on it.)
-			return fmt.Errorf("%w: %s", kv.ErrUncertain, app.Msg)
-		case rpc.AppErrIs(err, kv.CodeConflict, kv.ErrConflict):
-			return fmt.Errorf("%w: %s", kv.ErrConflict, app.Msg)
-		case rpc.AppErrIs(err, kv.CodeWrongEpoch, kv.ErrWrongEpoch):
-			return fmt.Errorf("%w: %s", kv.ErrWrongEpoch, app.Msg)
-		case rpc.AppErrIs(err, kv.CodeWrongSlot, kv.ErrWrongSlot):
-			// Keep the typed redirect: the data paths re-route on it
-			// (retryWrongSlot) instead of surfacing it.
-			if ws, ok := kv.ParseWrongSlot(app.Msg); ok {
-				return ws
-			}
-			return fmt.Errorf("%w: %s", kv.ErrWrongSlot, app.Msg)
-		case rpc.AppErrIs(err, kv.CodeBadRequest, kv.ErrBadRequest):
-			return fmt.Errorf("%w: %s", kv.ErrBadRequest, app.Msg)
+	if !errors.As(err, &app) {
+		return err
+	}
+	switch app.Code {
+	case kv.CodeUncertain:
+		// A commit that failed its replication/durability wait: the
+		// record is in the primary's local stream but the backup's
+		// acknowledgment never came, so whether it survives a failover
+		// is unknown — the same contract as a lost ack. The message
+		// may embed a wrong-epoch/conflict/bad-request cause; the
+		// server's coder (kv.WireErrorCode) already gave uncertainty
+		// precedence over those.
+		return fmt.Errorf("%w: %s", kv.ErrUncertain, app.Msg)
+	case kv.CodeConflict:
+		return fmt.Errorf("%w: %s", kv.ErrConflict, app.Msg)
+	case kv.CodeWrongEpoch:
+		return fmt.Errorf("%w: %s", kv.ErrWrongEpoch, app.Msg)
+	case kv.CodeWrongSlot:
+		// Keep the typed redirect: the data paths re-route on it
+		// (retryWrongSlot) instead of surfacing it.
+		if ws, ok := kv.ParseWrongSlot(app.Msg); ok {
+			return ws
 		}
+		return fmt.Errorf("%w: %s", kv.ErrWrongSlot, app.Msg)
+	case kv.CodeBadRequest:
+		return fmt.Errorf("%w: %s", kv.ErrBadRequest, app.Msg)
 	}
 	return err
 }

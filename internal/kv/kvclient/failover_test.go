@@ -28,7 +28,7 @@ func startPair(t *testing.T) (*kvserver.Server, *kvserver.Server, *kvclient.Clie
 		return srv
 	}
 	primary, backup := newSrv(), newSrv()
-	if err := primary.SetMirror(backup.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(backup.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	c, err := kvclient.OpenReplicated([][]string{{primary.Addr(), backup.Addr()}})

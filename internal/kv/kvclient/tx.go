@@ -206,14 +206,13 @@ func (t *Tx) ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint
 // writes are grouped by server slot and each slot's sub-batch goes out
 // as one MethodReadBatch call, the sub-batches in parallel over the
 // existing read connections (follower pinning and primary fallback
-// included — the client layer downgrades to per-object reads against a
-// peer that predates the method). Items whose OIDs carry staged
-// operations are served through the ordinary overlay paths on the
-// calling goroutine, so read-your-own-writes holds item by item.
+// included). Items whose OIDs carry staged operations are served
+// through the ordinary overlay paths on the calling goroutine, so
+// read-your-own-writes holds item by item.
 //
 // Results are positional: results[i] answers items[i], with Found=false
-// for absent objects (never an error, unlike Read). Version may be zero
-// on the per-object fallback path; Total is meaningful only for
+// for absent objects (never an error, unlike Read). Version is zero for
+// items served through the overlay; Total is meaningful only for
 // windowed (Part) items.
 func (t *Tx) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
 	if t.done {

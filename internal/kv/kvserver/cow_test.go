@@ -28,7 +28,7 @@ func startTestServer(t *testing.T, cfg Config) *Server {
 func TestStreamStagedPrepareCommitsAfterPromotion(t *testing.T) {
 	primary := startTestServer(t, Config{})
 	backup := startTestServer(t, Config{})
-	if err := primary.SetMirror(backup.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(backup.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ps, bs := primary.Store(), backup.Store()
@@ -67,7 +67,7 @@ func TestStreamStagedPrepareCommitsAfterPromotion(t *testing.T) {
 
 	// The old primary commits on its own; the backup is promoted and
 	// receives the same decision from the coordinator.
-	primary.SetMirror("")
+	primary.DetachAllBackups()
 	if err := ps.Commit(txid, proposed); err != nil {
 		t.Fatalf("old primary commit: %v", err)
 	}
@@ -108,6 +108,7 @@ func TestHotObjectKeepsNewestMaxVersions(t *testing.T) {
 	var tss []clock.Timestamp
 	expect := kv.NewSuper()
 	var floor clock.Timestamp
+	var refused uint64 // reads expected to be refused below the GC horizon
 	for i := 0; i < 5*maxVersions; i++ {
 		key, val := []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))
 		ops := []*kv.Op{
@@ -161,6 +162,10 @@ func TestHotObjectKeepsNewestMaxVersions(t *testing.T) {
 			if got, _, err := s.Read(oid, rts); !errors.Is(err, kv.ErrConflict) {
 				t.Fatalf("after %d writes: read at trimmed snapshot %v = %+v, %v; want ErrConflict", i+1, rts, got, err)
 			}
+			refused++
+		}
+		if got := s.Stats().ReadsBelowGCHorizon; got != refused {
+			t.Fatalf("after %d writes: ReadsBelowGCHorizon = %d, want %d", i+1, got, refused)
 		}
 	}
 }

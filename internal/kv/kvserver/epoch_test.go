@@ -213,7 +213,7 @@ func TestMirrorRejectsStalePrimaryEpoch(t *testing.T) {
 	b.SetSelf("b")
 	// The replica applies an epoch-1 record, then is promoted to epoch 2.
 	rec1 := kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 1, Members: []string{"a", "b"}}
-	if err := b.ApplyMirrored(0, rec1); err != nil {
+	if err := b.ApplyMirroredBatch([]kv.SyncRec{{Seq: 0, Rec: rec1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.InstallEpoch(2, []string{"b"}); err != nil {
@@ -222,13 +222,13 @@ func TestMirrorRejectsStalePrimaryEpoch(t *testing.T) {
 	// A stale primary's live record at epoch 1 must be turned away.
 	stale := kv.ReplRecord{Kind: kv.RecCommit, Epoch: 1, TS: b.Clock().Now(),
 		Ops: []*kv.Op{{Kind: kv.OpPut, OID: kv.MakeOID(0, 9), Value: kv.NewPlain([]byte("split"))}}}
-	err := b.ApplyMirrored(2, stale)
+	err := b.ApplyMirroredBatch([]kv.SyncRec{{Seq: 2, Rec: stale}})
 	if !errors.Is(err, kv.ErrWrongEpoch) {
 		t.Fatalf("stale-epoch mirror record: %v, want ErrWrongEpoch", err)
 	}
 	// A stale RecEpoch (e.g. the deposed primary trying to re-form its
 	// own group) is rejected too.
-	err = b.ApplyMirrored(2, kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 2, Members: []string{"a"}})
+	err = b.ApplyMirroredBatch([]kv.SyncRec{{Seq: 2, Rec: kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 2, Members: []string{"a"}}}})
 	if !errors.Is(err, kv.ErrWrongEpoch) {
 		t.Fatalf("stale RecEpoch: %v, want ErrWrongEpoch", err)
 	}

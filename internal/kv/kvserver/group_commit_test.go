@@ -19,7 +19,7 @@ import (
 func TestGroupCommitConcurrentWritersMirrorExactly(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(backup.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -76,7 +76,7 @@ func TestGroupCommitConcurrentWritersMirrorExactly(t *testing.T) {
 func TestGroupCommitDeadBackupNeverFalseAcks(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(backup.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -132,9 +132,7 @@ func TestGroupCommitDeadBackupNeverFalseAcks(t *testing.T) {
 
 	// Operator detaches the dead backup: replication is no longer a
 	// requirement, and the primary serves alone again.
-	if err := primary.SetMirror(""); err != nil {
-		t.Fatal(err)
-	}
+	primary.DetachAllBackups()
 	oid := c.NewOID(0)
 	tx := c.Begin()
 	tx.Put(oid, kv.NewPlain([]byte("solo")))

@@ -26,7 +26,7 @@ func startServer(t *testing.T) *kvserver.Server {
 func TestMirrorReplicatesAndFailsOver(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(backup.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -94,7 +94,7 @@ func TestMirrorReplicatesAndFailsOver(t *testing.T) {
 func TestMirrorPreservesVersionOrderUnderLoad(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(backup.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -131,7 +131,7 @@ func TestMirrorPreservesVersionOrderUnderLoad(t *testing.T) {
 func TestMirrorStrictFailure(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(backup.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -156,9 +156,7 @@ func TestMirrorStrictFailure(t *testing.T) {
 		t.Fatal("commit succeeded with dead backup")
 	}
 	// Detach the backup: the primary serves alone again.
-	if err := primary.SetMirror(""); err != nil {
-		t.Fatal(err)
-	}
+	primary.DetachAllBackups()
 	tx = c.Begin()
 	tx.Put(oid, kv.NewPlain([]byte("solo")))
 	if err := tx.Commit(ctx); err != nil {

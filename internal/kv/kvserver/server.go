@@ -46,8 +46,8 @@ type Server struct {
 // errorCode classifies handler errors for the wire (rpc.AppError.Code):
 // the kvserver-local sentinels first, then the shared kv registry.
 // Installed on the RPC server at construction, it also stamps the RPC
-// layer's own unknown-method rejection so version-probing clients can
-// match it without text comparison.
+// layer's own unknown-method rejection, so a caller can tell it from a
+// handler's error by code.
 func errorCode(err error) uint64 {
 	switch {
 	case errors.Is(err, ErrSnapshotSessionExpired):
@@ -71,7 +71,7 @@ func NewServer(store *Store) *Server {
 	// The replication-log bound gets its own short ticker, independent
 	// of the retention-sized sweep: a primary enforces it inline in the
 	// emit paths, but a live-mirror backup defers routine truncation
-	// off the ack path (see applyReplicated), so this ticker is what
+	// off the ack path (see ApplyMirroredBatch), so this ticker is what
 	// keeps a backup's overshoot to about one second of writes rather
 	// than half a retention period.
 	s.ckpt = time.NewTicker(time.Second)
@@ -98,7 +98,6 @@ func NewServer(store *Store) *Server {
 	s.rpc.Register(kv.MethodAbort, s.handleAbort)
 	s.rpc.Register(kv.MethodFastCommit, s.handleFastCommit)
 	s.rpc.Register(kv.MethodPing, s.handlePing)
-	s.rpc.Register(kv.MethodMirror, s.handleMirror)
 	s.rpc.Register(kv.MethodMirrorBatch, s.handleMirrorBatch)
 	s.rpc.Register(kv.MethodSync, s.handleSync)
 	s.rpc.Register(kv.MethodSnap, s.handleSnap)
@@ -134,34 +133,26 @@ func (s *Server) handleDirectory(_ context.Context, _ []byte) ([]byte, error) {
 	return (&kv.DirectoryResp{Dir: dir, Clock: s.store.Clock().Now()}).Encode(), nil
 }
 
-// AttachBackup makes this server a primary that replicates every
-// stream record — commits, two-phase prepares, and phase-two decisions
-// — to the backup at addr before acknowledging it; on primary failure,
-// clients fail over to the backup and see every acknowledged write,
-// and the backup holds every prepared in-flight transaction, so a
-// coordinator can still drive (or the orphan sweep eventually aborts)
-// cross-server transactions caught between the vote and phase two.
-// Replication is pipelined group commit: the store's batcher coalesces
-// concurrently emitted records into one MirrorBatchReq round trip
-// whose single acknowledgment covers — and extends the lease for —
-// the whole batch; committers are acknowledged only once their record
-// is covered (see pipeline.go). It returns the replication-stream
-// watermark: the backup holds every acknowledged record once it has
-// synced up to that sequence number (a fresh pair starts at 0 and
-// needs no sync; a backup attached mid-life calls SyncFrom with it).
-func (s *Server) AttachBackup(addr string) (uint64, error) {
-	s.DetachAllBackups()
-	return s.AttachBackupMember(addr)
-}
-
 // AttachBackupMember adds the backup at addr to this primary's
-// replication group WITHOUT detaching the members already attached —
-// the rf >= 3 interface. Each member gets its own connection, its own
+// replication group, keeping the members already attached. From then
+// on every stream record — commits, two-phase prepares and phase-two
+// decisions — is replicated to the member before it is acknowledged:
+// on primary failure, clients fail over to a backup and see every
+// acknowledged write, and the backups hold every prepared in-flight
+// transaction, so a coordinator can still drive (or the orphan sweep
+// eventually aborts) a cross-server transaction caught between the
+// vote and phase two. Each member gets its own connection, its own
 // batch sender (a dead member's timeout never stalls the others), and
-// its own lease-renewal loop; committers are acknowledged once a
-// MAJORITY of the group (the primary plus a quorum of backups) holds
-// their record. Like AttachBackup, it returns the replication-stream
-// watermark the new member must SyncFrom up to.
+// its own lease-renewal loop. Replication is pipelined group commit:
+// the store's batcher coalesces concurrently emitted records into one
+// MirrorBatchReq round trip whose single acknowledgment covers — and
+// extends the member's lease for — the whole batch; committers are
+// acknowledged once a MAJORITY of the group (the primary plus a quorum
+// of backups) holds their record (see pipeline.go). It returns the
+// replication-stream watermark: the member holds every acknowledged
+// record once it has synced up to that sequence number (a member
+// attached before any write needs no sync; one attached mid-life calls
+// SyncFrom with it).
 func (s *Server) AttachBackupMember(addr string) (uint64, error) {
 	conn, err := rpc.Dial(addr)
 	if err != nil {
@@ -208,7 +199,7 @@ func (s *Server) DetachBackupMember(addr string) {
 // DetachAllBackups removes every attached backup; in-flight durability
 // waiters fail (they are uncertain, not acked).
 func (s *Server) DetachAllBackups() {
-	s.store.AttachMirrorBatch(nil)
+	s.store.DetachAllMirrorMembers()
 	s.mirrorMu.Lock()
 	for addr, stop := range s.leaseStops {
 		close(stop)
@@ -404,29 +395,6 @@ func (s *Server) BumpEpochTo(epoch uint64, members []string) error {
 // mirrorTimeout bounds one synchronous mirror round trip.
 const mirrorTimeout = 5 * time.Second
 
-// SetMirror attaches (or, with "", detaches) a backup. It is the
-// flag-friendly wrapper around AttachBackup for pairs formed before
-// any writes, where the watermark is necessarily zero.
-func (s *Server) SetMirror(addr string) error {
-	if addr == "" {
-		s.DetachAllBackups()
-		return nil
-	}
-	_, err := s.AttachBackup(addr)
-	return err
-}
-
-func (s *Server) handleMirror(_ context.Context, p []byte) ([]byte, error) {
-	req, err := kv.DecodeMirrorReq(p)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.store.ApplyMirrored(req.Seq, req.Rec); err != nil {
-		return nil, err
-	}
-	return s.ack(), nil
-}
-
 // handleMirrorBatch applies one group-commit batch; the single ack
 // covers (and, via callExtendingLease on the primary, renews the lease
 // for) every record in it.
@@ -520,7 +488,7 @@ func (s *Server) SyncFrom(addr string, until uint64) error {
 		req := kv.SyncReq{From: from, Max: 512, Epoch: s.store.StreamEpoch()}
 		respB, err := conn.Call(ctx, kv.MethodSync, req.Encode())
 		if err != nil {
-			if rpc.AppErrIs(err, kv.CodeDiverged, kv.ErrDiverged) {
+			if rpc.AppErrIs(err, kv.CodeDiverged) {
 				return fmt.Errorf("%w: sync source %s rejected seq %d: %v", kv.ErrDiverged, addr, from, err)
 			}
 			return fmt.Errorf("kvserver: sync from %s: %w", addr, err)
@@ -603,7 +571,7 @@ func (s *Server) transferSnapshotFrom(ctx context.Context, conn *rpc.Client, add
 			req := kv.SnapReq{ID: id, Chunk: chunk}
 			respB, err := conn.Call(ctx, kv.MethodSnap, req.Encode())
 			if err != nil {
-				if rpc.AppErrIs(err, kv.CodeSnapSessionExpired, ErrSnapshotSessionExpired) {
+				if rpc.AppErrIs(err, kv.CodeSnapSessionExpired) {
 					lastErr = err
 					expired = true
 					break

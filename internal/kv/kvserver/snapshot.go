@@ -642,10 +642,8 @@ func (s *Store) expireSnapSessionsLocked(now time.Time) {
 // than a risk of splicing two states.
 func (s *Store) ServeSnapshotChunk(id uint64, chunk uint32) (outID, seq uint64, chunks uint32, data []byte, err error) {
 	if id == 0 {
-		// Without the replication log there is no consistent capture
-		// (plain and WAL-only commits apply outside the stream lock,
-		// see commitDetached) — and SyncRecords could not serve the log
-		// tail above a snapshot anyway, so a transfer from such a store
+		// Without the replication log SyncRecords could not serve the
+		// log tail above a snapshot, so a transfer from such a store
 		// could never complete a resync. cfg is immutable, no lock.
 		if !s.cfg.ReplicationLog {
 			return 0, 0, 0, nil, fmt.Errorf("%w: server keeps no replication log to snapshot from", kv.ErrBadRequest)

@@ -92,7 +92,7 @@ func TestMirroredBackupLogStaysBounded(t *testing.T) {
 	const max = 16
 	primary := startBoundedReplServer(t, max)
 	backup := startBoundedReplServer(t, max)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(backup.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	c, err := kvclient.Open([]string{primary.Addr()})
@@ -138,7 +138,7 @@ func TestSnapshotResyncByteForByte(t *testing.T) {
 	// must fall back to install-snapshot-then-tail.
 	backup := startReplServer(t)
 	backup.Store().StartResync()
-	watermark, err := primary.AttachBackup(backup.Addr())
+	watermark, err := primary.AttachBackupMember(backup.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestSnapshotCarriesPreparedAndDecidedState(t *testing.T) {
 
 	backup := startReplServer(t)
 	backup.Store().StartResync()
-	watermark, err := primary.AttachBackup(backup.Addr())
+	watermark, err := primary.AttachBackupMember(backup.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 		}
 	}
 	backup.Store().StartResync()
-	watermark, err := primary.AttachBackup(backup.Addr())
+	watermark, err := primary.AttachBackupMember(backup.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 	// And a fresh resync from the recovered primary completes.
 	backup2 := startReplServer(t)
 	backup2.Store().StartResync()
-	wm2, err := rsrv.AttachBackup(backup2.Addr())
+	wm2, err := rsrv.AttachBackupMember(backup2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

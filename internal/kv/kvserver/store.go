@@ -28,17 +28,23 @@
 //
 // Fault tolerance lives in this layer, as the paper prescribes: the
 // SQL layer above is stateless and the client library fails over, so
-// only the storage server needs to replicate. A server can run as the
-// primary of a primary-backup pair (Server.AttachBackup): every stream
-// record is assigned a sequence number in the primary's replication
-// stream and mirrored to the backup, and the client's acknowledgment
-// is withheld until the backup has acknowledged the record, so a
-// failover to the backup never loses an acknowledged write. Backups
-// apply the stream in strict sequence order; a gap (the backup missed
-// records, e.g. it restarted) makes mirroring fail loudly instead of
-// silently diverging, and the backup re-joins by streaming the missed
-// records from the primary's replication log (Server.SyncFrom /
-// MethodSync, the same records the write-ahead log holds).
+// only the storage server needs to replicate. Changes to a store are
+// records in its replication stream: commits, two-phase prepares and
+// decisions, and epoch changes each take the next sequence number (a
+// store with no log and no mirror skips the prepare and abort records,
+// which only a replica or a log needs). Every store — unreplicated,
+// WAL-only or replicated — emits a commit's record and applies its
+// effects in one repMu critical section. A primary ships the stream to
+// the backup members attached with Server.AttachBackupMember, in
+// MethodMirrorBatch batches (the only mirror RPC), and withholds the
+// client's acknowledgment until a majority of the group holds the
+// record, so a failover never loses an acknowledged write. Backups
+// apply the stream in strict sequence order (Store.ApplyMirroredBatch);
+// a gap (the backup missed records, e.g. it restarted) makes mirroring
+// fail loudly instead of silently diverging, and the backup re-joins
+// by streaming the missed records from the primary's replication log
+// (Server.SyncFrom / MethodSync, the same records the write-ahead log
+// holds).
 //
 // # Group commit and pipelined mirroring
 //
@@ -63,21 +69,20 @@
 // write, one fsync). Config.MirrorBatchMaxRecords caps a batch;
 // Config.GroupCommitInterval optionally lets one build.
 //
-// The WATERMARK ACK RULE replaces the old strict per-record mirror: a
-// commit, prepare, or epoch change is acknowledged only once its
-// sequence number clears the durability watermark — covered by a
-// backup batch acknowledgment (when a mirror is attached) AND by a
-// WAL fsync (when LogSync is set). A batch that fails (backup dead,
-// gap, divergence, epoch reject) fails every waiter whose record rode
-// in it: commits surface kv.ErrUncertain (the record is in the local
-// stream, its effects visible; whether it survives a failover depends
-// on whether the batch landed — exactly a lost ack's contract), and
-// prepares vote no and abort, emitting the owed decision record.
-// Waiters never succeed on a record the backup did not apply, so "an
-// acked write survives primary failure" holds unchanged while N
-// concurrent writers share each round trip and fsync. Abort decisions
-// remain fire-and-forget, as before. Throughput under concurrency now
-// scales with the batch depth instead of serializing on one
+// The WATERMARK ACK RULE: a commit, prepare, or epoch change is
+// acknowledged only once its sequence number clears the durability
+// watermark — covered by a backup batch acknowledgment (when a mirror
+// is attached) AND by a WAL fsync (when LogSync is set). A batch that
+// fails (backup dead, gap, divergence, epoch reject) fails every
+// waiter whose record rode in it: commits surface kv.ErrUncertain
+// (the record is in the local stream, its effects visible; whether it
+// survives a failover depends on whether the batch landed — exactly a
+// lost ack's contract), and prepares vote no and abort, emitting the
+// owed decision record. Waiters never succeed on a record the backup
+// did not apply, so "an acked write survives primary failure" holds
+// while N concurrent writers share each round trip and fsync. Abort
+// decisions are fire-and-forget. Throughput under concurrency scales
+// with the batch depth instead of serializing on one
 // round-trip-plus-fsync per record; BenchmarkReplicationConcurrent
 // and BENCH_replication.json track it.
 //
@@ -173,8 +178,9 @@
 // abort-after-decided-commit window is gone; within a stable epoch 2PC
 // blocks, safely, and an operator can bump the epoch to reap a
 // provably dead coordinator's locks. Legacy (epoch-0) stores — an
-// unreplicated server, or a hand-wired SetMirror pair — keep all
-// pre-epoch behavior, including the availability-first TTL abort.
+// unreplicated server, or a primary whose backups were attached
+// without an epoch install — keep all pre-epoch behavior, including
+// the availability-first TTL abort.
 //
 // # Quorum groups
 //
@@ -330,8 +336,7 @@
 //     same-package call) is flagged.
 //   - errsentinel: errors are classified by errors.Is/errors.As or by
 //     the typed RPC code (rpc.AppError.Code, kv.WireErrorCode), never
-//     by comparing message text. rpc.AppErrIs holds the single
-//     sanctioned legacy-text fallback for pre-code peers.
+//     by comparing message text.
 //   - wirecodec: hand-rolled Encode/Decode pairs must read fields in
 //     the exact order they were written, and optional
 //     backward-compatible fields (guarded by Reader.Remaining) must
@@ -559,6 +564,13 @@ type Stats struct {
 	// tail).
 	WrongSlotRejects atomic.Uint64
 	MigratedVersions atomic.Uint64
+	// ReadsBelowGCHorizon counts snapshot reads (Read, ReadPart and
+	// each item of a read batch) refused with ErrConflict because the
+	// version their snapshot needs was garbage-collected (the
+	// MaxVersions cap or the retention horizon trimmed it). A climbing
+	// value means readers hold snapshots older than a hot object's
+	// retained history and retry.
+	ReadsBelowGCHorizon atomic.Uint64
 }
 
 // StatsSnapshot is a plain copy of the counters.
@@ -569,6 +581,7 @@ type StatsSnapshot struct {
 	MirrorBatches, MirrorBatchRecords, WALSyncs, WALFailures                                      uint64
 	FollowerReads, FollowerReadWaits, DurableReadWaits                                            uint64
 	WrongSlotRejects, MigratedVersions                                                            uint64
+	ReadsBelowGCHorizon                                                                           uint64
 }
 
 type version struct {
@@ -1017,7 +1030,7 @@ func (s *Store) wrongEpochLocked() *kv.WrongEpochError {
 // *WrongEpochError carrying the current epoch and membership, and
 // guarantees the operation was not executed. Legacy (epoch-0) stores
 // accept everything, preserving pre-epoch behavior for unreplicated
-// servers and hand-wired mirror pairs.
+// servers and groups formed without an epoch install.
 func (s *Store) CheckClientOp(reqEpoch uint64) error {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
@@ -1258,7 +1271,7 @@ const syncBatchBytes = 4 << 20
 // SyncResp.TooOld). A from beyond the stream head means the requester
 // applied records this store never emitted: the replicas hold
 // irreconcilable histories, reported loudly as kv.ErrDiverged
-// (mirroring ApplyMirrored's strict check) rather than answered with a
+// (mirroring ApplyMirroredBatch's strict check) rather than answered with a
 // silently empty batch the requester would mistake for "caught up".
 //
 // reqEpoch is the requester's STREAM epoch (see streamEpoch) and closes
@@ -1354,9 +1367,7 @@ func (s *Store) Checkpoint() (uint64, error) {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
 	if !s.cfg.ReplicationLog {
-		// Without the replication log there is nothing to truncate, a
-		// mirror-less store applies commits outside the stream lock
-		// (commitDetached) so no consistent capture exists, and
+		// Without the replication log there is nothing to truncate, and
 		// ServeSnapshotChunk refuses such stores anyway.
 		return 0, fmt.Errorf("%w: checkpointing requires the replication log (Config.ReplicationLog)", kv.ErrBadRequest)
 	}
@@ -1591,6 +1602,8 @@ func (s *Store) Stats() StatsSnapshot {
 
 		WrongSlotRejects: s.stats.WrongSlotRejects.Load(),
 		MigratedVersions: s.stats.MigratedVersions.Load(),
+
+		ReadsBelowGCHorizon: s.stats.ReadsBelowGCHorizon.Load(),
 	}
 }
 
@@ -1670,6 +1683,7 @@ func (s *Store) Read(oid kv.OID, snap clock.Timestamp) (*kv.Value, clock.Timesta
 			// (conservatively: the object may not have existed yet).
 			// "Absent" could be a wrong answer; make the reader retry
 			// at a fresh snapshot, as conflictLocked makes a writer.
+			s.stats.ReadsBelowGCHorizon.Add(1)
 			return nil, 0, fmt.Errorf("%w: snapshot predates GC horizon", kv.ErrConflict)
 		}
 		if !ok || v == nil {
@@ -1964,14 +1978,11 @@ func (s *Store) Commit(txid uint64, commitTS clock.Timestamp) error {
 }
 
 func (s *Store) commit(txid uint64, commitTS clock.Timestamp) (applied bool, err error) {
-	// On a stream-consistent store the whole transition — emit the
-	// decision, apply the staged ops, record the outcome — is one repMu
-	// critical section: the stream position and the visible state never
-	// disagree, which is what lets a state snapshot captured under
-	// repMu (and tagged with repSeq) claim to cover every record below
-	// it. Other stores never serve snapshots or resyncs, so they keep
-	// the concurrent path (commitDetached): staged ops apply in
-	// parallel across shards, outside the stream lock.
+	// The whole transition — emit the decision, apply the staged ops,
+	// record the outcome — is one repMu critical section: the stream
+	// position and the visible state never disagree, which is what lets
+	// a state snapshot captured under repMu (and tagged with repSeq)
+	// claim to cover every record below it.
 	//
 	// The DURABILITY WAIT happens after the critical section: the
 	// record is emitted and its effects applied under repMu, but the
@@ -1982,10 +1993,6 @@ func (s *Store) commit(txid uint64, commitTS clock.Timestamp) (applied bool, err
 	// acked-writes-survive-failover guarantee holds because no ack went
 	// out.
 	s.repMu.Lock()
-	if !s.streamConsistentLocked() {
-		s.repMu.Unlock()
-		return s.commitDetached(txid, commitTS)
-	}
 	rec, dup, err := s.takePrepared(txid)
 	if rec == nil {
 		s.repMu.Unlock()
@@ -2079,60 +2086,6 @@ func (s *Store) takePrepared(txid uint64) (*txRecord, decision, error) {
 	}
 	delete(s.txs, txid)
 	return rec, decision{}, nil
-}
-
-// streamConsistentLocked reports whether this store maintains the
-// snapshot-capture invariant — visible state equals the stream
-// position whenever repMu is free. Only stores that can actually serve
-// a resync (replication log) or feed one (live mirror) pay for it;
-// plain and WAL-only stores trade it for concurrent commit
-// application. Caller holds repMu.
-func (s *Store) streamConsistentLocked() bool {
-	return s.cfg.ReplicationLog || s.hasMirror.Load()
-}
-
-// commitDetached is the commit path of stores outside the stream-
-// consistency discipline: unreplicated (nothing to emit — the stream
-// lock is touched only for the sequence count) and WAL-only
-// (durability without resync service — the record is emitted under
-// repMu, but staged ops apply outside it, concurrently across shards,
-// exactly the pre-snapshot behavior; the LogSync durability wait rides
-// the same group-commit watermark as the replicated path).
-func (s *Store) commitDetached(txid uint64, commitTS clock.Timestamp) (applied bool, err error) {
-	rec, dup, err := s.takePrepared(txid)
-	if rec == nil {
-		if err == nil && dup.replSeq > 0 {
-			if werr := s.waitReplicated(dup.replSeq - 1); werr != nil {
-				return false, fmt.Errorf("%w: replicating commit: %v", kv.ErrUncertain, werr)
-			}
-		}
-		return false, err
-	}
-	s.clock.Observe(commitTS)
-	var seq uint64
-	hasSeq := false
-	s.repMu.Lock()
-	if s.replicatingLocked() {
-		seq = s.emitLocked(s.commitRecord(txid, rec, commitTS))
-		hasSeq = true
-	} else {
-		// Count the record in the stream even without a log or mirror,
-		// so a later AttachMirror reports an honest watermark.
-		s.repSeq++
-	}
-	s.repMu.Unlock()
-	s.applyStaged(txid, rec.oids, commitTS)
-	d := decision{commit: true, commitTS: commitTS}
-	if hasSeq {
-		d.replSeq = seq + 1
-	}
-	s.recordDecision(txid, d)
-	if hasSeq {
-		if err := s.waitReplicated(seq); err != nil {
-			return true, fmt.Errorf("%w: replicating commit: %v", kv.ErrUncertain, err)
-		}
-	}
-	return true, nil
 }
 
 // applyStaged installs a prepared transaction's staged results as

@@ -61,7 +61,7 @@ func writeBatch(t *testing.T, c *kvclient.Client, tag string, n int) {
 func TestSyncRebuildsBackupByteForByte(t *testing.T) {
 	primary := startReplServer(t)
 	backup1 := startReplServer(t)
-	if err := primary.SetMirror(backup1.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(backup1.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	c, err := kvclient.Open([]string{primary.Addr()})
@@ -74,16 +74,14 @@ func TestSyncRebuildsBackupByteForByte(t *testing.T) {
 
 	// Backup dies; the operator detaches it and the primary serves alone.
 	backup1.Close()
-	if err := primary.SetMirror(""); err != nil {
-		t.Fatal(err)
-	}
+	primary.DetachAllBackups()
 	writeBatch(t, c, "alone", 20)
 
 	// A fresh backup re-forms the pair: resync mode first, then attach
 	// (so live commits buffer), then stream the missed history.
 	backup2 := startReplServer(t)
 	backup2.Store().StartResync()
-	watermark, err := primary.AttachBackup(backup2.Addr())
+	watermark, err := primary.AttachBackupMember(backup2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +151,7 @@ func TestSyncCarriesPreparedState(t *testing.T) {
 	// A fresh backup re-forms the pair while the prepare is pending.
 	backup := startReplServer(t)
 	backup.Store().StartResync()
-	watermark, err := primary.AttachBackup(backup.Addr())
+	watermark, err := primary.AttachBackupMember(backup.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +191,7 @@ func TestMirrorGapFailsLoudly(t *testing.T) {
 	writeBatch(t, c, "history", 8)
 
 	stale := startReplServer(t)
-	if _, err := primary.AttachBackup(stale.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(stale.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	tx := c.Begin()
@@ -219,7 +217,7 @@ func TestMirrorGapFailsLoudly(t *testing.T) {
 func TestMirrorDetectsDivergedBackup(t *testing.T) {
 	primary := startReplServer(t)
 	backup := startReplServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(backup.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

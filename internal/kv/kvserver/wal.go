@@ -544,31 +544,38 @@ func (s *Store) ApplyReplicated(rec kv.ReplRecord) error {
 // otherwise — a silent gap would diverge the replica forever, so the
 // primary's mirror call must fail loudly instead.
 func (s *Store) ApplyReplicatedSeq(seq uint64, rec kv.ReplRecord) error {
-	return s.applyReplicated(seq, rec, false)
-}
-
-// ApplyMirrored is the live-mirror variant of ApplyReplicatedSeq. The
-// primary sends each sequence number exactly once and in order, so a
-// mirror record below the local stream head means this replica applied
-// records the primary never streamed — it served writes of its own
-// while the primary was alive (split brain). Acknowledging would make
-// the primary believe a record is replicated when this replica dropped
-// it, so the duplicate fails loudly and the primary's operation aborts.
-func (s *Store) ApplyMirrored(seq uint64, rec kv.ReplRecord) error {
-	return s.applyReplicated(seq, rec, true)
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	if err := s.applyReplicatedLocked(seq, rec, false); err != nil {
+		return err
+	}
+	// State is consistent with the stream head here, so this is a safe
+	// point for the log-bound policy (backups append to their
+	// replication log too and must truncate it likewise). Nobody is
+	// blocked on a sync catch-up, so the bound is enforced exactly; the
+	// live mirror path (ApplyMirroredBatch) uses the slack instead.
+	s.maybeCheckpointLocked()
+	return nil
 }
 
 // ApplyMirroredBatch applies a contiguous group-commit batch from the
-// primary under ONE stream-lock acquisition: each record still passes
-// the per-record epoch, grant, and sequence checks (a gap or
-// divergence inside a batch fails exactly where a per-record mirror
-// would), but the whole batch costs one lock round and one
-// acknowledgment — the backup half of the group-commit pipeline. An
-// error on record k leaves records 0..k-1 applied (a contiguous,
-// consistent prefix of the primary's stream; the backup is merely
-// behind) and fails the RPC, which fails every primary-side waiter in
-// the batch. The replication-log bound runs once per batch, with the
-// live-mirror slack (see mirrorCheckpointSlack).
+// primary under ONE stream-lock acquisition: each record passes the
+// epoch, grant, and sequence checks in turn (a gap or divergence
+// inside a batch fails at the record where it occurs), but the whole
+// batch costs one lock round and one acknowledgment — the backup half
+// of the group-commit pipeline. The primary sends each sequence number
+// once and in order, so a record below the local stream head that does
+// not match what this replica holds there means the replica applied
+// records the primary never streamed (split brain): acknowledging
+// would make the primary believe a record is replicated when this
+// replica dropped it, so the batch fails loudly instead. An error on
+// record k leaves records 0..k-1 applied (a contiguous, consistent
+// prefix of the primary's stream; the backup is merely behind) and
+// fails the RPC, which fails every primary-side waiter in the batch.
+// The replication-log bound runs once per batch, with the live-mirror
+// slack: the primary is waiting for the ack, and an O(state) capture
+// there could delay it, so routine truncation is left to the server's
+// checkpoint ticker (see mirrorCheckpointSlack).
 func (s *Store) ApplyMirroredBatch(recs []kv.SyncRec) error {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
@@ -624,33 +631,12 @@ func (s *Store) acceptStreamRecordLocked(rec *kv.ReplRecord) error {
 	return nil
 }
 
-func (s *Store) applyReplicated(seq uint64, rec kv.ReplRecord, strict bool) error {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	if err := s.applyReplicatedLocked(seq, rec, strict); err != nil {
-		return err
-	}
-	// State is consistent with the stream head here, so this is a safe
-	// point for the log-bound policy (backups append to their
-	// replication log too and must truncate it likewise). The
-	// non-strict path (sync catch-up, WAL replay) enforces the bound
-	// exactly — nobody is blocked on those applies. A live mirror
-	// record has the primary waiting for the batch ack, and an O(state)
-	// capture there could delay it: routine truncation is left to the
-	// server's checkpoint ticker, with a hard ceiling at slack times
-	// the cap so the memory bound never rests on a ticker alone.
-	if strict {
-		s.maybeCheckpointSlackLocked(mirrorCheckpointSlack)
-	} else {
-		s.maybeCheckpointLocked()
-	}
-	return nil
-}
-
-// applyReplicatedLocked installs one replicated record (see
-// ApplyReplicatedSeq / ApplyMirrored for the strictness contract) and
-// drains any resync-buffered records that become contiguous. Caller
-// holds repMu and runs the log-bound policy afterwards.
+// applyReplicatedLocked installs one replicated record and drains any
+// resync-buffered records that become contiguous. strict marks a live
+// mirror record (ApplyMirroredBatch), which must pass the stream's
+// epoch guard and match what a duplicate position holds; a sync
+// catch-up (ApplyReplicatedSeq) is not strict. Caller holds repMu and
+// runs the log-bound policy afterwards.
 func (s *Store) applyReplicatedLocked(seq uint64, rec kv.ReplRecord, strict bool) error {
 	if strict {
 		if err := s.acceptStreamRecordLocked(&rec); err != nil {

@@ -12,17 +12,12 @@ const (
 	MethodReadPart = "kv.readpart"
 	// MethodReadBatch serves N object reads — each a whole-object read
 	// or a ReadPart window — at one snapshot timestamp in a single RPC.
-	// A server that predates the method answers rpc.ErrUnknownMethod;
-	// clients fall back to per-object MethodRead/MethodReadPart.
 	MethodReadBatch  = "kv.readbatch"
 	MethodPrepare    = "kv.prepare"
 	MethodCommit     = "kv.commit"
 	MethodAbort      = "kv.abort"
 	MethodFastCommit = "kv.fastcommit"
 	MethodPing       = "kv.ping"
-	// MethodMirror carries a committed transaction from a primary to
-	// its backup replica (see kvserver.Server.AttachBackup).
-	MethodMirror = "kv.mirror"
 	// MethodMirrorBatch carries a contiguous run of stream records from
 	// a primary to its backup in one round trip — the group-commit
 	// replication path. The backup applies the records in order (the
@@ -47,9 +42,9 @@ const (
 	// MethodDirectory returns the server's current slot directory (the
 	// versioned slot→group map; see Directory). Clients call it when an
 	// ack's DirVersion piggyback or an ErrWrongSlot redirect reveals a
-	// newer version than the one they hold. A server that predates the
-	// method answers rpc.ErrUnknownMethod; such clusters have no
-	// directory and clients keep modulo routing.
+	// newer version than the one they hold. A server with no directory
+	// installed (a standalone yesqueld) answers ErrBadRequest and clients
+	// keep modulo routing.
 	MethodDirectory = "kv.directory"
 )
 
@@ -202,40 +197,11 @@ func DecodeLeaseReq(p []byte) (*LeaseReq, error) {
 	return m, nil
 }
 
-// MirrorReq replicates one stream record to a backup. Seq is the
-// record's position in the primary's replication stream; backups apply
-// records in strict sequence order, so a gap means the backup missed
-// records and must resync before mirroring can resume.
-type MirrorReq struct {
-	Seq uint64
-	Rec ReplRecord
-}
-
-func (m *MirrorReq) Encode() []byte {
-	b := wire.NewBuffer(64)
-	b.PutUvarint(m.Seq)
-	EncodeReplRecord(b, &m.Rec)
-	return b.Bytes()
-}
-
-func DecodeMirrorReq(p []byte) (*MirrorReq, error) {
-	r := wire.NewReader(p)
-	seq, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	rec, err := DecodeReplRecord(r)
-	if err != nil {
-		return nil, err
-	}
-	return &MirrorReq{Seq: seq, Rec: rec}, nil
-}
-
 // MirrorBatchReq replicates a contiguous run of stream records to a
 // backup in one RPC. Records are in strict sequence order; the backup
 // applies them one by one under a single stream-lock acquisition, so a
-// gap or divergence inside the batch fails exactly where a per-record
-// mirror call would have. Watermark piggybacks the primary's durability
+// gap or divergence inside the batch fails at the record where it
+// occurs. Watermark piggybacks the primary's durability
 // watermark as of the batch's departure (every record below it is
 // quorum-acked and fsynced): the backup advances its follower-read
 // frontier with it, at zero extra round trips.

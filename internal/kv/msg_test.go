@@ -94,42 +94,6 @@ func recEqual(t *testing.T, got, want ReplRecord) {
 	opsEqual(t, got.Ops, want.Ops)
 }
 
-func TestMirrorReqRoundTrip(t *testing.T) {
-	cases := []MirrorReq{
-		{Seq: 0, Rec: ReplRecord{Kind: RecCommit, TxID: 7, TS: 1}},
-		{Seq: 1, Rec: ReplRecord{Kind: RecPrepare, TxID: 1 << 63, TS: 123456789, Ops: sampleOps()[:1], Epoch: 3}},
-		{Seq: 2, Rec: ReplRecord{Kind: RecDecide, TxID: 42, TS: 99, Commit: true, Epoch: 1 << 32}},
-		{Seq: 3, Rec: ReplRecord{Kind: RecDecide, TxID: 42, TS: 0, Commit: false}},
-		{Seq: 1 << 40, Rec: ReplRecord{Kind: RecCommit, TS: Timestamp(1) << 60, Ops: sampleOps()}},
-		{Seq: 9, Rec: ReplRecord{Kind: RecEpoch, Epoch: 5, Members: []string{"127.0.0.1:7000", "127.0.0.1:7001"}}},
-		{Seq: 10, Rec: ReplRecord{Kind: RecEpoch, Epoch: 6, Members: []string{"127.0.0.1:7001"}}},
-	}
-	for i, in := range cases {
-		out, err := DecodeMirrorReq(in.Encode())
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if out.Seq != in.Seq {
-			t.Fatalf("case %d: got seq=%d, want seq=%d", i, out.Seq, in.Seq)
-		}
-		recEqual(t, out.Rec, in.Rec)
-	}
-}
-
-func TestMirrorReqDecodeErrors(t *testing.T) {
-	for _, p := range [][]byte{nil, {0x01}, {0x01, 0xff, 0xff}} {
-		if _, err := DecodeMirrorReq(p); err == nil {
-			t.Fatalf("decode of truncated payload %v succeeded", p)
-		}
-	}
-	// An unknown record kind must be rejected, not decoded as garbage.
-	bad := (&MirrorReq{Seq: 1, Rec: ReplRecord{Kind: RecCommit, TxID: 1, TS: 1}}).Encode()
-	bad[1] = 0xee // the kind byte follows the one-byte seq uvarint
-	if _, err := DecodeMirrorReq(bad); err == nil {
-		t.Fatal("decode of unknown record kind succeeded")
-	}
-}
-
 func TestMirrorBatchReqRoundTrip(t *testing.T) {
 	cases := []MirrorBatchReq{
 		{Recs: nil},
@@ -140,6 +104,12 @@ func TestMirrorBatchReqRoundTrip(t *testing.T) {
 			{Seq: 7, Rec: ReplRecord{Kind: RecDecide, TxID: 2, TS: 30, Commit: true, Epoch: 2}},
 			{Seq: 8, Rec: ReplRecord{Kind: RecEpoch, Epoch: 3, Members: []string{"127.0.0.1:7000", "127.0.0.1:7001"}}},
 			{Seq: 1 << 40, Rec: ReplRecord{Kind: RecCommit, TS: Timestamp(1) << 60, Ops: sampleOps()}},
+		}},
+		{Recs: []SyncRec{
+			{Seq: 1, Rec: ReplRecord{Kind: RecPrepare, TxID: 1 << 63, TS: 123456789, Ops: sampleOps()[:1], Epoch: 3}},
+			{Seq: 2, Rec: ReplRecord{Kind: RecDecide, TxID: 42, TS: 99, Commit: true, Epoch: 1 << 32}},
+			{Seq: 3, Rec: ReplRecord{Kind: RecDecide, TxID: 42, TS: 0, Commit: false}},
+			{Seq: 10, Rec: ReplRecord{Kind: RecEpoch, Epoch: 6, Members: []string{"127.0.0.1:7001"}}},
 		}},
 	}
 	for i, in := range cases {

@@ -13,10 +13,12 @@
 //	strings.Contains(app.Msg, ...)     // AppError's laundered text
 //	err.Error() == "..."               // equality on rendered text
 //
-// The sanctioned decoders that must parse structured payloads out of
-// an error string (kv.ParseWrongEpoch, kv.ParseClockMark, the legacy
-// pre-code fallback in rpc.AppErrIs) carry //yesqlint:allow
-// errsentinel annotations with their justification.
+// The decoders that parse a structured payload out of an error message
+// — kv.ParseWrongEpoch (a redirect's epoch and membership) and
+// kv.ParseClockMark (a clock mark) — match a fixed payload prefix, not
+// a sentinel's text. Code that must match rendered text anyway carries
+// a //yesqlint:allow annotation for this analyzer (errsentinel) with
+// its justification.
 package errsentinel
 
 import (

@@ -13,9 +13,9 @@ import (
 // Typed error codes: the server's coder stamps AppError.Code onto the
 // wire as a trailing optional field, and AppErrIs matches it without
 // looking at message text. These tests pin the round trip, the
-// unknown-method stamping, the coder-less zero, the legacy text
-// fallback, and — via a hand-built old-format frame — that a new
-// client still decodes responses from servers predating codes.
+// unknown-method stamping, the coder-less zero, and — via a hand-built
+// frame without the field — that the client decodes such a frame as
+// Code 0.
 
 var errTestSentinel = errors.New("errcode_test: sentinel")
 
@@ -47,12 +47,10 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 	if app.Code != testCode {
 		t.Fatalf("Code = %d, want %d", app.Code, testCode)
 	}
-	// The code decides; the sentinel argument is only the legacy
-	// fallback and must not rescue a mismatched code.
-	if !AppErrIs(err, testCode, nil) {
+	if !AppErrIs(err, testCode) {
 		t.Fatal("AppErrIs(code) = false for matching code")
 	}
-	if AppErrIs(err, testCode+1, errTestSentinel) {
+	if AppErrIs(err, testCode+1) {
 		t.Fatal("AppErrIs matched a different code on a coded response")
 	}
 }
@@ -73,14 +71,14 @@ func TestErrorCodeUnknownMethod(t *testing.T) {
 	defer c.Close()
 
 	_, err = c.Call(context.Background(), "no-such-method", nil)
-	if !AppErrIs(err, testCode, ErrUnknownMethod) {
+	if !AppErrIs(err, testCode) {
 		t.Fatalf("unknown-method rejection not stamped with coder's code: %v", err)
 	}
 }
 
-func TestErrorCodeLegacyTextFallback(t *testing.T) {
-	// No coder installed: the server sends code 0 and clients must fall
-	// back to matching the sentinel's text, the pre-code scheme.
+func TestErrorCodeCoderlessServerSendsZero(t *testing.T) {
+	// No coder installed: the server sends code 0, which matches no
+	// code even when the message names the sentinel.
 	s := NewServer()
 	s.Register("fail", func(_ context.Context, _ []byte) ([]byte, error) {
 		return nil, fmt.Errorf("outer: %w", errTestSentinel)
@@ -100,19 +98,15 @@ func TestErrorCodeLegacyTextFallback(t *testing.T) {
 	if app.Code != 0 {
 		t.Fatalf("Code = %d, want 0 from a coder-less server", app.Code)
 	}
-	if !AppErrIs(err, testCode, errTestSentinel) {
-		t.Fatal("legacy fallback did not match the sentinel text")
-	}
-	if AppErrIs(err, testCode, errors.New("some other text")) {
-		t.Fatal("legacy fallback matched a sentinel not in the message")
+	if AppErrIs(err, testCode) {
+		t.Fatal("AppErrIs matched a code-0 response by its text")
 	}
 }
 
-// TestDecodeLegacyErrorFrame feeds the client an error response in the
-// OLD wire format — no trailing code — from a hand-rolled server, and
+// TestDecodeLegacyErrorFrame feeds the client an error response
+// without the trailing code field from a hand-rolled server, and
 // checks the client decodes it as Code 0 rather than failing the
-// connection: the backward-compatibility contract of the trailing
-// optional field.
+// connection: the contract of a trailing optional field.
 func TestDecodeLegacyErrorFrame(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -155,7 +149,7 @@ func TestDecodeLegacyErrorFrame(t *testing.T) {
 	if app.Code != 0 {
 		t.Fatalf("Code = %d, want 0 from a legacy frame", app.Code)
 	}
-	if !AppErrIs(err, testCode, errTestSentinel) {
-		t.Fatal("legacy frame did not fall back to text matching")
+	if AppErrIs(err, testCode) {
+		t.Fatal("AppErrIs matched a frame without a code")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,8 +54,8 @@ var (
 // transport failure). The text crosses the wire; the type does not.
 // Code, when nonzero, is a service-defined classification assigned by
 // the server's error coder (SetErrorCoder). It travels as a trailing
-// optional wire field: a response from a server predating codes
-// decodes with Code 0, and a coder-less server sends 0 explicitly.
+// optional wire field: a frame without it decodes with Code 0, and a
+// coder-less server sends 0 explicitly.
 type AppError struct {
 	Msg  string
 	Code uint64
@@ -65,22 +64,11 @@ type AppError struct {
 func (e *AppError) Error() string { return e.Msg }
 
 // AppErrIs reports whether err is an application error whose wire code
-// is code. For responses that carry no code (Code 0 — a server
-// predating codes, or one without a coder), it falls back to matching
-// sentinel's text in the message, the legacy classification scheme
-// the codes replace. This function is the ONE sanctioned home of that
-// string match; everything else must compare codes or errors.Is a
-// sentinel that survived the wire.
-func AppErrIs(err error, code uint64, sentinel error) bool {
+// is code. Code 0 (unclassified) never matches a nonzero code; the
+// message text is not consulted.
+func AppErrIs(err error, code uint64) bool {
 	var app *AppError
-	if !errors.As(err, &app) {
-		return false
-	}
-	if app.Code != 0 {
-		return app.Code == code
-	}
-	//yesqlint:allow errsentinel -- legacy fallback: a pre-code response conveys the class only in its text
-	return sentinel != nil && strings.Contains(app.Msg, sentinel.Error())
+	return errors.As(err, &app) && app.Code == code
 }
 
 // frame kinds
@@ -114,8 +102,8 @@ func encodeResponse(id uint64, body []byte, appErr error, code uint64) ([]byte, 
 	if appErr != nil {
 		b.PutByte(statusErr)
 		b.PutString(appErr.Error())
-		// Trailing optional field: old clients stop after the message
-		// and never see it; new clients read it only when present.
+		// Trailing optional field: the decoder reads it only when
+		// present.
 		b.PutUvarint(code)
 	} else {
 		b.PutByte(statusOK)
@@ -161,8 +149,7 @@ func (s *Server) Register(method string, h Handler) {
 // (AppError.Code on the client side). Like Register, it must be called
 // before Serve. The coder also classifies the server's own
 // unknown-method rejection, which wraps ErrUnknownMethod. A nil or
-// absent coder sends code 0 (clients then fall back to text matching;
-// see AppErrIs).
+// absent coder sends code 0.
 func (s *Server) SetErrorCoder(f func(error) uint64) {
 	s.coder = f
 }
@@ -405,7 +392,7 @@ func (c *Client) readLoop() {
 				return
 			}
 			var code uint64
-			if r.Remaining() > 0 { // trailing optional: absent from pre-code servers
+			if r.Remaining() > 0 { // trailing optional: a frame without it decodes as Code 0
 				if code, err = r.Uvarint(); err != nil {
 					c.fail(fmt.Errorf("%w: bad frame", ErrClosed))
 					return

@@ -3,8 +3,8 @@
 // revision history, and inter-page links, exercised with a read-heavy
 // mix (render a page: 3 queries; edit a page: read + 2 writes) under
 // zipfian page popularity. Real Wikipedia dumps are replaced by
-// synthetic articles (DESIGN.md, substitution 4) — the schema, query
-// shapes, and skew are what the experiment measures.
+// synthetic articles — the schema, query shapes, and skew are what the
+// experiment measures.
 package wiki
 
 import (
